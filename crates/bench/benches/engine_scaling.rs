@@ -1,6 +1,7 @@
 //! Engine scaling: ticks/sec of the sharded tick engine on the AI
-//! topology as the per-ring phase fans out over worker threads
-//! (`ExecMode::Parallel(n)` vs `ExecMode::Sequential`).
+//! topology as the cycle loop splits over worker threads
+//! (`ExecMode::Parallel(n)` vs `ExecMode::Sequential`). `tick()` is a
+//! one-cycle epoch, so every parallel tick pays one shard handoff.
 //!
 //! Results are bit-identical across modes by construction (see
 //! `tick_equivalence.rs`); this bench measures only the wall-clock

@@ -1,25 +1,28 @@
-//! Epoch-batched parallel execution: long-lived shard workers that run
-//! K cycles per pool handoff, exchanging bridge mail over lock-free
-//! SPSC rings instead of rendezvousing with the engine every phase.
+//! The engine's one cycle loop, and the epoch tasks that run it in
+//! parallel: shard workers that run K cycles per pool handoff,
+//! exchanging bridge mail over lock-free SPSC rings.
 //!
 //! # Why epochs
 //!
-//! The per-tick fan-out pays two mpsc channel hops per worker per
-//! *phase*; at small ring sizes the hops dwarf the simulated work and
-//! Parallel loses to Sequential outright. An epoch moves the
-//! scatter/gather to once per **K cycles**: the engine partitions the
-//! shards into one [`EpochTask`] per pool slot (contiguous ring ranges,
-//! so chain-like topologies keep most bridges task-internal), moves the
-//! shards in, and every task runs the full K-cycle loop itself.
+//! Every advance of the network is an epoch of K cycles
+//! ([`crate::Network::tick`] is `tick_epoch(1)`), and [`run_cycles`] is
+//! the only per-cycle phase body. Under
+//! [`ExecMode::Sequential`](crate::ExecMode::Sequential) the engine
+//! runs it in place over all shards, with every bridge wired as a local
+//! pair. Under [`ExecMode::Parallel`](crate::ExecMode::Parallel) the
+//! engine partitions the shards into one [`EpochTask`] per pool slot
+//! (contiguous ring ranges, so chain-like topologies keep most bridges
+//! task-internal), moves the shards in, and every task runs the same
+//! loop over its own slice. The scatter/gather then costs one handoff
+//! per K cycles instead of one per cycle.
 //!
 //! # The cycle protocol
 //!
-//! Within an epoch each task executes, per cycle, exactly the phases of
-//! the sequential engine — deliver, backlog snapshot, per-ring cycle,
-//! mailbox exchange. The two barrier phases touch the *peer* side of
-//! each bridge; when the peer lives in another task, the data travels
-//! over a dedicated pair of [`noc_sim::spsc`] rings (one per direction
-//! per bridge) as [`BridgeMail`]:
+//! Per cycle the loop runs four phases — deliver, backlog snapshot,
+//! per-ring cycle, mailbox exchange. The two barrier phases touch the
+//! *peer* side of each bridge; when the peer lives in another task, the
+//! data travels over a dedicated pair of [`noc_sim::spsc`] rings (one
+//! per direction per bridge) as [`BridgeMail`]:
 //!
 //! 1. after delivery, each side sends its own post-delivery inbox depth
 //!    and receives the peer's ([`BridgeSide::peer_backlog`]);
@@ -34,8 +37,8 @@
 //! before blocking on its peer's depth, so at most two messages are
 //! ever in flight per direction ([`MAIL_CAP`] has slack on top).
 //!
-//! Bit-identity with the K=1 sequential engine follows because the
-//! protocol *is* the sequential barrier, relocated: same values, same
+//! Bit-identity between the two modes follows because a cross link
+//! carries exactly what a local pair copies: same values, same
 //! per-bridge pairing, same cycle. The epoch bound (K ≤ the minimum
 //! bridge traversal latency, [`crate::Network::max_epoch`]) guarantees
 //! no flit can both enter and mature in a bridge pipeline within one
@@ -45,10 +48,12 @@
 //!
 //! [`BridgeSide::peer_backlog`]: crate::bridge::BridgeSide::peer_backlog
 
+use crate::bridge::BridgeSide;
 use crate::flit::Flit;
 use crate::network::TickMode;
-use crate::shard::{EngineShared, RingShard};
+use crate::shard::{EngineShared, RingShard, SideLoc};
 use noc_sim::{spsc, Cycle, ShardPool, SpscReceiver, SpscSender};
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
 /// SPSC ring capacity per direction. The protocol bounds in-flight
@@ -73,25 +78,13 @@ pub(crate) enum BridgeMail {
 }
 
 /// A bridge side whose peer lives in another task: the mailbox
-/// endpoints that replace the engine's barrier for this side.
+/// endpoints that stand in for the local copy of this side's barrier.
 #[derive(Debug)]
-struct CrossLink {
-    /// Task-local index of the owning shard.
-    shard: usize,
-    /// Index into that shard's `sides`.
-    side: usize,
+pub(crate) struct CrossLink {
+    /// This side; [`SideLoc::ring`] indexes the task's `shards`.
+    side: SideLoc,
     tx: SpscSender<BridgeMail>,
     rx: SpscReceiver<BridgeMail>,
-}
-
-/// A bridge with both sides owned by the same task; exchanged inline,
-/// exactly as the sequential engine does.
-#[derive(Debug)]
-struct LocalPair {
-    /// (task-local shard index, side index) of side `a`.
-    a: (usize, usize),
-    /// Likewise for side `b`.
-    b: (usize, usize),
 }
 
 /// A disjoint partition of the network's shards plus the bridge wiring
@@ -101,13 +94,15 @@ struct LocalPair {
 /// queues, stats and telemetry at every epoch boundary.
 #[derive(Debug)]
 pub(crate) struct EpochTask {
-    /// Global ring indices of the shards this task owns, ascending;
-    /// parallel to `shards` when populated.
-    pub ring_ids: Vec<usize>,
+    /// How many shards this task owns: the next `rings` in ring order
+    /// after the previous task's.
+    pub rings: usize,
     /// The owned shards (populated only while an epoch runs).
     pub shards: Vec<RingShard>,
     cross: Vec<CrossLink>,
-    local: Vec<LocalPair>,
+    /// Bridges with both sides in this task; [`SideLoc::ring`] indexes
+    /// `shards`.
+    local: Vec<[SideLoc; 2]>,
 }
 
 /// The persistent epoch machinery: the worker pool plus the task
@@ -156,14 +151,13 @@ pub(crate) fn build_tasks(shared: &EngineShared, slots: usize) -> Vec<EpochTask>
     let mut next = 0usize;
     for ti in 0..ntasks {
         let len = base + usize::from(ti < extra);
-        let ids: Vec<usize> = (next..next + len).collect();
-        for (li, &r) in ids.iter().enumerate() {
+        for (li, r) in (next..next + len).enumerate() {
             task_of_ring[r] = ti;
             local_of_ring[r] = li;
         }
         next += len;
         tasks.push(EpochTask {
-            ring_ids: ids,
+            rings: len,
             shards: Vec::new(),
             cross: Vec::new(),
             local: Vec::new(),
@@ -173,22 +167,26 @@ pub(crate) fn build_tasks(shared: &EngineShared, slots: usize) -> Vec<EpochTask>
         let [la, lb] = *locs;
         let (ra, rb) = (la.ring as usize, lb.ring as usize);
         let (ta, tb) = (task_of_ring[ra], task_of_ring[rb]);
-        let a = (local_of_ring[ra], la.idx as usize);
-        let b = (local_of_ring[rb], lb.idx as usize);
+        let a = SideLoc {
+            ring: local_of_ring[ra] as u16,
+            idx: la.idx,
+        };
+        let b = SideLoc {
+            ring: local_of_ring[rb] as u16,
+            idx: lb.idx,
+        };
         if ta == tb {
-            tasks[ta].local.push(LocalPair { a, b });
+            tasks[ta].local.push([a, b]);
         } else {
             let (ab_tx, ab_rx) = spsc::channel(MAIL_CAP);
             let (ba_tx, ba_rx) = spsc::channel(MAIL_CAP);
             tasks[ta].cross.push(CrossLink {
-                shard: a.0,
-                side: a.1,
+                side: a,
                 tx: ab_tx,
                 rx: ba_rx,
             });
             tasks[tb].cross.push(CrossLink {
-                shard: b.0,
-                side: b.1,
+                side: b,
                 tx: ba_tx,
                 rx: ab_rx,
             });
@@ -221,65 +219,102 @@ fn recv_mail(rx: &SpscReceiver<BridgeMail>) -> BridgeMail {
 }
 
 impl EpochTask {
-    /// Run cycles `first..=last` on this task's shards, following the
-    /// sequential engine's phase order exactly (see the module docs).
-    pub(crate) fn run_epoch<const TRACE: bool>(
+    /// Run `cycles` on this task's shards.
+    pub(crate) fn run_epoch(
         &mut self,
+        trace: bool,
         shared: &EngineShared,
         mode: TickMode,
-        first: u64,
-        last: u64,
+        cycles: RangeInclusive<u64>,
     ) {
-        for t in first..=last {
-            let now = Cycle(t);
-            for sh in &mut self.shards {
-                sh.phase_deliver::<TRACE>(now);
+        run_cycles(
+            trace,
+            &mut self.shards,
+            &self.local,
+            &self.cross,
+            shared,
+            mode,
+            cycles,
+        );
+    }
+}
+
+fn side(shards: &mut [RingShard], at: SideLoc) -> &mut BridgeSide {
+    &mut shards[at.ring as usize].sides[at.idx as usize]
+}
+
+/// The engine's only per-cycle phase body: run `cycles` on `shards` (see the module docs for the phase order). `local`
+/// pairs bridge sides that both live in `shards`, in bridge order;
+/// `cross` links the sides whose peer lives in another task. Trace
+/// records are staged in the shards only when `trace` is set.
+pub(crate) fn run_cycles(
+    trace: bool,
+    shards: &mut [RingShard],
+    local: &[[SideLoc; 2]],
+    cross: &[CrossLink],
+    shared: &EngineShared,
+    mode: TickMode,
+    cycles: RangeInclusive<u64>,
+) {
+    if trace {
+        cycle_loop::<true>(shards, local, cross, shared, mode, cycles);
+    } else {
+        cycle_loop::<false>(shards, local, cross, shared, mode, cycles);
+    }
+}
+
+fn cycle_loop<const TRACE: bool>(
+    shards: &mut [RingShard],
+    local: &[[SideLoc; 2]],
+    cross: &[CrossLink],
+    shared: &EngineShared,
+    mode: TickMode,
+    cycles: RangeInclusive<u64>,
+) {
+    for t in cycles {
+        let now = Cycle(t);
+        for sh in shards.iter_mut() {
+            sh.phase_deliver::<TRACE>(now);
+        }
+        // Barrier 1: post-delivery peer inbox depths.
+        for &[a, b] in local {
+            let da = side(shards, a).rx.len();
+            let db = side(shards, b).rx.len();
+            side(shards, a).peer_backlog = db;
+            side(shards, b).peer_backlog = da;
+        }
+        for l in cross {
+            let depth = side(shards, l.side).rx.len() as u32;
+            l.tx.send(BridgeMail::Depth(depth))
+                .expect("mail ring sized for the cycle protocol");
+        }
+        for l in cross {
+            match recv_mail(&l.rx) {
+                BridgeMail::Depth(d) => side(shards, l.side).peer_backlog = d as usize,
+                BridgeMail::Batch(_) => unreachable!("protocol alternates depth/batch"),
             }
-            // Barrier 1: post-delivery peer inbox depths.
-            for p in &self.local {
-                let da = self.shards[p.a.0].sides[p.a.1].rx.len();
-                let db = self.shards[p.b.0].sides[p.b.1].rx.len();
-                self.shards[p.a.0].sides[p.a.1].peer_backlog = db;
-                self.shards[p.b.0].sides[p.b.1].peer_backlog = da;
-            }
-            for l in &self.cross {
-                let depth = self.shards[l.shard].sides[l.side].rx.len() as u32;
-                l.tx.send(BridgeMail::Depth(depth))
-                    .expect("mail ring sized for the cycle protocol");
-            }
-            for l in &self.cross {
-                match recv_mail(&l.rx) {
-                    BridgeMail::Depth(d) => {
-                        self.shards[l.shard].sides[l.side].peer_backlog = d as usize;
-                    }
-                    BridgeMail::Batch(_) => unreachable!("protocol alternates depth/batch"),
-                }
-            }
-            for sh in &mut self.shards {
-                sh.phase_cycle::<TRACE>(shared, now, mode);
-            }
-            // Barrier 2: staged tx batches onto peer rx inboxes.
-            for p in &self.local {
-                let mut tx = std::mem::take(&mut self.shards[p.a.0].sides[p.a.1].tx);
-                self.shards[p.b.0].sides[p.b.1].rx.append(&mut tx);
-                self.shards[p.a.0].sides[p.a.1].tx = tx;
-                let mut tx = std::mem::take(&mut self.shards[p.b.0].sides[p.b.1].tx);
-                self.shards[p.a.0].sides[p.a.1].rx.append(&mut tx);
-                self.shards[p.b.0].sides[p.b.1].tx = tx;
-            }
-            for l in &self.cross {
-                let batch: Vec<(u64, Flit)> =
-                    self.shards[l.shard].sides[l.side].tx.drain(..).collect();
-                l.tx.send(BridgeMail::Batch(batch))
-                    .expect("mail ring sized for the cycle protocol");
-            }
-            for l in &self.cross {
-                match recv_mail(&l.rx) {
-                    BridgeMail::Batch(batch) => {
-                        self.shards[l.shard].sides[l.side].rx.extend(batch);
-                    }
-                    BridgeMail::Depth(_) => unreachable!("protocol alternates depth/batch"),
-                }
+        }
+        for sh in shards.iter_mut() {
+            sh.phase_cycle::<TRACE>(shared, now, mode);
+        }
+        // Barrier 2: staged tx batches onto peer rx inboxes.
+        for &[a, b] in local {
+            let mut tx = std::mem::take(&mut side(shards, a).tx);
+            side(shards, b).rx.append(&mut tx);
+            side(shards, a).tx = tx;
+            let mut tx = std::mem::take(&mut side(shards, b).tx);
+            side(shards, a).rx.append(&mut tx);
+            side(shards, b).tx = tx;
+        }
+        for l in cross {
+            let batch: Vec<(u64, Flit)> = side(shards, l.side).tx.drain(..).collect();
+            l.tx.send(BridgeMail::Batch(batch))
+                .expect("mail ring sized for the cycle protocol");
+        }
+        for l in cross {
+            match recv_mail(&l.rx) {
+                BridgeMail::Batch(batch) => side(shards, l.side).rx.extend(batch),
+                BridgeMail::Depth(_) => unreachable!("protocol alternates depth/batch"),
             }
         }
     }

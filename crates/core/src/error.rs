@@ -129,17 +129,19 @@ impl fmt::Display for EnqueueError {
 impl Error for EnqueueError {}
 
 /// Errors raised while advancing the engine (epoch validation and
-/// worker-pool failures). [`Network::tick`](crate::Network::tick)
-/// keeps its infallible signature and panics on these;
-/// [`Network::tick_epoch`](crate::Network::tick_epoch) and
-/// [`Network::try_tick`](crate::Network::try_tick) surface them.
+/// worker-pool failures), surfaced by
+/// [`Network::tick_epoch`](crate::Network::tick_epoch).
+/// [`Network::try_tick`](crate::Network::try_tick) is `tick_epoch(1)`,
+/// which always passes validation, so it can only return
+/// [`EngineError::Pool`]; [`Network::tick`](crate::Network::tick)
+/// keeps its infallible signature and panics on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The requested epoch length exceeds the minimum bridge traversal
-    /// latency, so a flit staged early in the epoch could mature —
-    /// and in the monolithic engine would be *delivered* — before the
-    /// epoch's single mailbox exchange. Running anyway would be
-    /// silently wrong; the engine refuses instead.
+    /// latency, so a flit could enter and leave a bridge pipeline
+    /// inside one epoch, and deferring the engine's drains to the
+    /// epoch boundary would no longer be invisible. Running anyway
+    /// would be silently wrong; the engine refuses instead.
     EpochTooLong {
         /// The rejected epoch length.
         requested: u64,
@@ -149,8 +151,9 @@ pub enum EngineError {
     },
     /// An epoch of zero cycles was requested.
     EmptyEpoch,
-    /// A parallel worker died (its job panicked). The shards it held
-    /// are lost, so the network is no longer usable.
+    /// An [`ExecMode::Parallel`](crate::ExecMode::Parallel) epoch
+    /// worker died (its job panicked). The shards it held are lost, so
+    /// the network is no longer usable.
     Pool(noc_sim::PoolError),
 }
 

@@ -1,16 +1,14 @@
-//! Execution modes for the per-ring phase of the tick.
+//! Execution modes for the engine's cycle loop.
 
-use crate::shard::RingShard;
-use noc_sim::ShardPool;
-
-/// How the per-ring phase of [`Network::tick`](crate::Network::tick)
-/// is executed.
+/// How [`Network::tick_epoch`](crate::Network::tick_epoch) (and so
+/// [`Network::tick`](crate::Network::tick), which is `tick_epoch(1)`)
+/// runs its cycle loop.
 ///
 /// Both modes produce bit-identical results — delivery order, every
 /// [`NetStats`](crate::NetStats) counter and histogram, and the
 /// telemetry event stream — for every thread count, because ring
 /// shards own all the state they touch and exchange bridge traffic
-/// only at phase barriers. The differential fuzz in
+/// only at per-cycle barriers. The differential fuzz in
 /// `tests/tick_equivalence.rs` holds this to
 /// [`NetStats::fingerprint`](crate::NetStats::fingerprint) equality
 /// over random topologies. Choose by wall-clock alone.
@@ -19,17 +17,15 @@ pub enum ExecMode {
     /// Evaluate ring shards one after another on the calling thread.
     #[default]
     Sequential,
-    /// Fan the per-ring phase out across `n` threads (the calling
-    /// thread plus `n - 1` pooled workers). `Parallel(0)` and
-    /// `Parallel(1)` degenerate to the sequential path through the
-    /// same code. Under [`Network::tick`](crate::Network::tick) the
-    /// pool rendezvous happens every phase, so threads only pay off
-    /// once a shard's phase outweighs two channel hops (~µs); under
-    /// [`Network::tick_epoch`](crate::Network::tick_epoch) the handoff
-    /// amortizes over K cycles and cross-thread bridge traffic moves
-    /// over lock-free SPSC mailboxes instead (see [`crate::epoch`]),
-    /// which is where the scaling curve comes from
-    /// (`noc-bench scaling` → `BENCH_PR8.json`).
+    /// Split the shards over `n` threads (the calling thread plus
+    /// `n - 1` pooled workers), one contiguous ring range each. The
+    /// shards move to the workers once per epoch, and cross-thread
+    /// bridge traffic moves over lock-free SPSC mailboxes every cycle
+    /// (see [`crate::epoch`]). `Parallel(0)` and `Parallel(1)` run
+    /// one task on the calling thread. The handoff amortizes over the
+    /// epoch length K, so [`Network::tick`](crate::Network::tick)
+    /// (K = 1) pays it every cycle; `noc-bench scaling` measures the
+    /// break-even.
     Parallel(usize),
 }
 
@@ -39,27 +35,6 @@ impl ExecMode {
         match self {
             ExecMode::Sequential => 0,
             ExecMode::Parallel(n) => n.max(1) - 1,
-        }
-    }
-}
-
-/// Lazily spawned worker pool. Cloning a network must not duplicate
-/// OS threads, so a clone starts with an empty cell and respawns on
-/// its first parallel tick.
-#[derive(Default)]
-pub(crate) struct PoolCell(pub Option<ShardPool<RingShard>>);
-
-impl Clone for PoolCell {
-    fn clone(&self) -> Self {
-        PoolCell(None)
-    }
-}
-
-impl std::fmt::Debug for PoolCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(p) => write!(f, "PoolCell({} workers)", p.workers()),
-            None => write!(f, "PoolCell(idle)"),
         }
     }
 }

@@ -2,14 +2,17 @@
 //! starvation and livelock protection, ring bridges and SWAP deadlock
 //! resolution — the complete §4 of the paper, cycle by cycle.
 //!
-//! # Sharded tick
+//! # Sharded, epoch-batched tick
 //!
 //! The engine is decomposed along the paper's own fault line: rings are
 //! independent conveyor belts coupled *only* at bridges. Each ring is a
 //! self-contained [`crate::shard::RingShard`] owning its lanes,
 //! bitsets, node interfaces, bridge sides, statistics and telemetry
-//! buffer; [`Network`] itself is just the orchestrator. One call to
-//! [`Network::tick`] runs four phases:
+//! buffer; [`Network`] itself is just the orchestrator.
+//!
+//! The network advances in epochs: [`Network::tick_epoch`] runs K
+//! cycles, and [`Network::tick`] is `tick_epoch(1)`. Each cycle runs
+//! four phases (one loop body, `crate::epoch`):
 //!
 //! 1. **Deliver** — each shard drains matured flits from its bridge
 //!    inboxes ([`crate::bridge::BridgeSide::rx`]) into endpoint inject
@@ -18,25 +21,19 @@
 //!    enforce pipeline capacity without reading another shard.
 //! 3. **Per-ring cycle** — zero-hop deliveries, the station sweep,
 //!    lane advance, bridge intake (staged into `tx` outboxes) and DRM
-//!    bookkeeping, entirely within one shard. This phase runs
-//!    sequentially or fanned out per [`ExecMode`]; since shards share
-//!    nothing mutable, both are bit-identical.
+//!    bookkeeping, entirely within one shard.
 //! 4. **Barrier** — `tx` outboxes are appended onto peer `rx` inboxes
-//!    in bridge order, per-shard telemetry is drained into the sink in
-//!    ring order, and ring utilization is sampled.
+//!    in bridge order.
 //!
-//! # Epoch-batched tick
-//!
-//! [`Network::tick_epoch`] runs **K cycles per handoff** instead of
-//! one: the per-cycle phases execute back to back (on the calling
-//! thread, or detached on long-lived epoch workers that exchange
-//! per-cycle bridge mail over lock-free SPSC rings — see
-//! `crate::epoch`), and every engine-side drain (metrics commits,
-//! watchdog evaluation, trace emission, utilization samples) is
-//! deferred and replayed in cycle order at the epoch boundary. K is
-//! bounded by the minimum bridge traversal latency
-//! ([`Network::max_epoch`]); within that bound the deferral is
-//! invisible and every observable stream is byte-identical to K=1.
+//! Under [`ExecMode::Sequential`] the loop runs in place on the calling
+//! thread; under [`ExecMode::Parallel`] the shards move onto long-lived
+//! epoch workers that exchange the barrier values over lock-free SPSC
+//! rings. Every engine-side drain (metrics commits, watchdog
+//! evaluation, trace emission, utilization samples) runs after the
+//! loop, replayed in cycle and ring order. K is bounded by the minimum
+//! bridge traversal latency ([`Network::max_epoch`]); within that
+//! bound the deferral is invisible and every observable stream is
+//! byte-identical to K=1, in either mode.
 //!
 //! # Occupancy-indexed tick
 //!
@@ -56,7 +53,7 @@ use crate::census::{self, WaitCensus};
 use crate::config::NetworkConfig;
 use crate::epoch::{EpochCell, EpochEngine, EpochTask};
 use crate::error::{EngineError, EnqueueError};
-use crate::exec::{ExecMode, PoolCell};
+use crate::exec::ExecMode;
 use crate::flit::{Flit, FlitClass};
 use crate::ids::{BridgeId, NodeId, RingId};
 use crate::route::RouteTable;
@@ -69,6 +66,7 @@ use noc_telemetry::{
     HealthMonitor, MetricsRegistry, NullSink, PostmortemBundle, RecorderConfig, RingWindow,
     TraceRecord, TraceSink, WaitGraphSample, WaitStats, NO_FLIT, NO_LANE,
 };
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Which sweep implementation [`Network::tick`] uses.
@@ -139,11 +137,11 @@ struct Observatory {
 ///
 /// # Parallel execution
 ///
-/// The per-ring phase of the tick can be fanned out over a persistent
-/// worker pool with [`Network::set_exec_mode`] /
-/// [`ExecMode::Parallel`]. Results are bit-identical to sequential
-/// execution for every thread count — see the module docs and
-/// DESIGN.md §10 for why.
+/// With [`Network::set_exec_mode`] / [`ExecMode::Parallel`] each epoch
+/// runs on a persistent worker pool, one contiguous range of ring
+/// shards per thread. Results are bit-identical to sequential
+/// execution for every thread count and epoch length — see the module
+/// docs and DESIGN.md §10 and §15 for why.
 ///
 /// # Telemetry
 ///
@@ -186,8 +184,9 @@ pub struct Network<S: TraceSink = NullSink> {
     shards: Vec<RingShard>,
     mode: TickMode,
     exec: ExecMode,
-    pool: PoolCell,
     epoch: EpochCell,
+    /// [`Network::max_epoch`], fixed by the immutable topology.
+    max_epoch: u64,
     now: Cycle,
     ticks: u64,
     next_flit_id: u64,
@@ -227,14 +226,20 @@ impl<S: TraceSink> Network<S> {
         exec: ExecMode,
         sink: S,
     ) -> Self {
+        let max_epoch = topo
+            .bridges()
+            .iter()
+            .map(|b| u64::from(b.config.latency.max(1)))
+            .min()
+            .unwrap_or(u64::MAX);
         let (shared, shards) = crate::shard::build(topo, cfg);
         Network {
             shared: Arc::new(shared),
             shards,
             mode,
             exec,
-            pool: PoolCell::default(),
             epoch: EpochCell::default(),
+            max_epoch,
             now: Cycle::ZERO,
             ticks: 0,
             next_flit_id: 0,
@@ -514,7 +519,10 @@ impl<S: TraceSink> Network<S> {
         let Some(period) = self.observatory.as_ref().map(|o| o.registry.period()) else {
             return;
         };
-        self.drain_staged_metrics();
+        debug_assert!(
+            self.shards.iter().all(|s| s.pending_metrics.is_empty()),
+            "every epoch epilogue commits the samples it staged"
+        );
         let now = self.now;
         let shared = Arc::clone(&self.shared);
         for shard in &mut self.shards {
@@ -524,26 +532,9 @@ impl<S: TraceSink> Network<S> {
         self.commit_staged(now.raw() % period);
     }
 
-    /// Commit every staged sample row. Runs at the epoch boundary with
-    /// no shard active; shards stage samples in lockstep (same cycles
-    /// everywhere), and each commit pops one row across all shards in
-    /// ascending ring id — so the snapshot stream is identical to the
-    /// K=1 engine committing at every tick's barrier.
-    fn drain_staged_metrics(&mut self) {
-        let Some(window) = self.observatory.as_ref().map(|o| o.registry.period()) else {
-            return;
-        };
-        while self
-            .shards
-            .first()
-            .is_some_and(|s| !s.pending_metrics.is_empty())
-        {
-            self.commit_staged(window);
-        }
-    }
-
-    /// Pop one staged sample row (oldest; all shards sampled it at the
-    /// same cycle) and commit it as one snapshot.
+    /// Pop one staged sample row (oldest; shards stage samples in
+    /// lockstep, so all shards sampled it at the same cycle) and commit
+    /// it as one snapshot, gathering the row in ascending ring id.
     fn commit_staged(&mut self, window: u64) {
         let mut in_flight = 0u64;
         let mut cycle = 0u64;
@@ -886,8 +877,8 @@ impl<S: TraceSink> Network<S> {
     // Simulation step
     // ------------------------------------------------------------------
 
-    /// Advance the network by one clock cycle (see the module docs for
-    /// the phase structure).
+    /// Advance the network by one clock cycle: `tick_epoch(1)` (see the
+    /// module docs for the phase structure).
     ///
     /// # Panics
     ///
@@ -904,51 +895,7 @@ impl<S: TraceSink> Network<S> {
     /// [`EngineError::Pool`] the shards handed to the dead worker are
     /// lost and the network must be discarded.
     pub fn try_tick(&mut self) -> Result<(), EngineError> {
-        self.now += 1;
-        self.ticks += 1;
-        let now = self.now;
-        // Phase 1: bridge delivery. Cheap enough to stay sequential in
-        // every mode (a handful of queue pops per bridge).
-        if S::ENABLED {
-            for shard in &mut self.shards {
-                shard.phase_deliver::<true>(now);
-            }
-        } else {
-            for shard in &mut self.shards {
-                shard.phase_deliver::<false>(now);
-            }
-        }
-        // Barrier: snapshot peer inbox depths so intake can enforce
-        // pipeline capacity without reading another shard.
-        self.refresh_peer_backlogs();
-        // Phase 2: the per-ring cycle — the only phase worth fanning
-        // out, and the only one that runs with shards detached.
-        match self.exec {
-            ExecMode::Sequential => {
-                let shared = Arc::clone(&self.shared);
-                let mode = self.mode;
-                if S::ENABLED {
-                    for shard in &mut self.shards {
-                        shard.phase_cycle::<true>(&shared, now, mode);
-                    }
-                } else {
-                    for shard in &mut self.shards {
-                        shard.phase_cycle::<false>(&shared, now, mode);
-                    }
-                }
-            }
-            ExecMode::Parallel(_) => self.run_parallel(now)?,
-        }
-        // Barrier: swap bridge mailboxes, commit staged metrics
-        // samples, then drain telemetry in ring order so the sink sees
-        // one deterministic stream.
-        self.exchange_bridges();
-        self.drain_staged_metrics();
-        if S::ENABLED {
-            self.drain_trace_buffers();
-            self.emit_staged_util(now.raw());
-        }
-        Ok(())
+        self.tick_epoch(1)
     }
 
     /// The largest epoch [`Network::tick_epoch`] accepts: the minimum
@@ -958,18 +905,12 @@ impl<S: TraceSink> Network<S> {
     /// which is what makes deferring all engine-side drains to the
     /// epoch boundary invisible (see `crate::epoch`).
     pub fn max_epoch(&self) -> u64 {
-        self.shared
-            .topo
-            .bridges()
-            .iter()
-            .map(|b| u64::from(b.config.latency.max(1)))
-            .min()
-            .unwrap_or(u64::MAX)
+        self.max_epoch
     }
 
     /// Advance the network by `k` cycles as one epoch: the per-cycle
-    /// phases run back to back (sequentially, or detached on the epoch
-    /// worker pool under [`ExecMode::Parallel`]), and every
+    /// phases run back to back (in place on the calling thread, or on
+    /// the epoch worker pool under [`ExecMode::Parallel`]), and every
     /// caller-visible drain — metrics commits, watchdog evaluation,
     /// trace-sink emission, ring-utilization samples — is deferred to
     /// this epoch boundary and then replayed in cycle order. The
@@ -987,58 +928,36 @@ impl<S: TraceSink> Network<S> {
         if k == 0 {
             return Err(EngineError::EmptyEpoch);
         }
-        let max = self.max_epoch();
-        if k > max {
-            return Err(EngineError::EpochTooLong { requested: k, max });
+        if k > self.max_epoch {
+            return Err(EngineError::EpochTooLong {
+                requested: k,
+                max: self.max_epoch,
+            });
         }
-        let first = self.now.raw() + 1;
-        let last = self.now.raw() + k;
+        let cycles = self.now.raw() + 1..=self.now.raw() + k;
         match self.exec {
-            ExecMode::Sequential => self.epoch_sequential(first, last),
-            ExecMode::Parallel(_) => self.epoch_parallel(first, last)?,
+            ExecMode::Sequential => crate::epoch::run_cycles(
+                S::ENABLED,
+                &mut self.shards,
+                &self.shared.side_loc,
+                &[],
+                &self.shared,
+                self.mode,
+                cycles.clone(),
+            ),
+            ExecMode::Parallel(_) => self.epoch_parallel(cycles.clone())?,
         }
-        self.now = Cycle(last);
+        self.now = Cycle(*cycles.end());
         self.ticks += k;
-        self.epoch_epilogue(first, last);
+        self.epoch_epilogue(cycles);
         Ok(())
-    }
-
-    /// The epoch's cycle loop on the calling thread: per cycle, exactly
-    /// the phases of [`Network::try_tick`] minus the drains (those run
-    /// in [`Network::epoch_epilogue`]).
-    fn epoch_sequential(&mut self, first: u64, last: u64) {
-        let shared = Arc::clone(&self.shared);
-        let mode = self.mode;
-        for t in first..=last {
-            let now = Cycle(t);
-            if S::ENABLED {
-                for shard in &mut self.shards {
-                    shard.phase_deliver::<true>(now);
-                }
-            } else {
-                for shard in &mut self.shards {
-                    shard.phase_deliver::<false>(now);
-                }
-            }
-            self.refresh_peer_backlogs();
-            if S::ENABLED {
-                for shard in &mut self.shards {
-                    shard.phase_cycle::<true>(&shared, now, mode);
-                }
-            } else {
-                for shard in &mut self.shards {
-                    shard.phase_cycle::<false>(&shared, now, mode);
-                }
-            }
-            self.exchange_bridges();
-        }
     }
 
     /// The epoch's cycle loop fanned out on the epoch pool: shards move
     /// into per-slot [`EpochTask`]s, every task runs all K cycles
     /// (exchanging per-cycle bridge mail over SPSC rings), and the
     /// shards move back at the single gather.
-    fn epoch_parallel(&mut self, first: u64, last: u64) -> Result<(), EngineError> {
+    fn epoch_parallel(&mut self, cycles: RangeInclusive<u64>) -> Result<(), EngineError> {
         let workers = self.exec.workers();
         let rebuild = match &self.epoch.0 {
             Some(e) => e.pool.workers() != workers,
@@ -1052,22 +971,20 @@ impl<S: TraceSink> Network<S> {
             });
         }
         let engine = self.epoch.0.as_mut().expect("just ensured");
-        let mut src: Vec<Option<RingShard>> = self.shards.drain(..).map(Some).collect();
+        // Tasks own contiguous ring ranges in task order, so the
+        // scatter splits the shards front to back and the gather
+        // concatenates them back.
         let mut tasks = std::mem::take(&mut engine.tasks);
+        let mut shards = self.shards.drain(..);
         for task in &mut tasks {
-            task.shards = task
-                .ring_ids
-                .iter()
-                .map(|&r| src[r].take().expect("each ring owned by one task"))
-                .collect();
+            task.shards.extend(shards.by_ref().take(task.rings));
         }
+        drop(shards);
         let shared = Arc::clone(&self.shared);
         let mode = self.mode;
-        let job: PoolJob<EpochTask> = if S::ENABLED {
-            Arc::new(move |t: &mut EpochTask| t.run_epoch::<true>(&shared, mode, first, last))
-        } else {
-            Arc::new(move |t: &mut EpochTask| t.run_epoch::<false>(&shared, mode, first, last))
-        };
+        let job: PoolJob<EpochTask> = Arc::new(move |t: &mut EpochTask| {
+            t.run_epoch(S::ENABLED, &shared, mode, cycles.clone())
+        });
         let mut done = match engine.pool.run(tasks, job) {
             Ok(done) => done,
             Err(e) => {
@@ -1077,17 +994,9 @@ impl<S: TraceSink> Network<S> {
                 return Err(e.into());
             }
         };
-        let mut out: Vec<Option<RingShard>> = (0..src.len()).map(|_| None).collect();
         for task in &mut done {
-            let shards = std::mem::take(&mut task.shards);
-            for (&r, sh) in task.ring_ids.iter().zip(shards) {
-                out[r] = Some(sh);
-            }
+            self.shards.append(&mut task.shards);
         }
-        self.shards = out
-            .into_iter()
-            .map(|o| o.expect("every ring gathered back"))
-            .collect();
         engine.tasks = done;
         Ok(())
     }
@@ -1095,12 +1004,15 @@ impl<S: TraceSink> Network<S> {
     /// Replay the epoch's deferred drains in cycle order: for each
     /// cycle, commit that cycle's staged metrics sample (if any), feed
     /// that cycle's trace records to the recorder and sink in ring
-    /// order, then emit its staged ring-utilization samples — the exact
-    /// per-tick sequence of the K=1 engine, batched.
-    fn epoch_epilogue(&mut self, first: u64, last: u64) {
+    /// order, then emit its staged ring-utilization samples.
+    fn epoch_epilogue(&mut self, cycles: RangeInclusive<u64>) {
         let window = self.observatory.as_ref().map(|o| o.registry.period());
-        let mut cursors = vec![0usize; self.shards.len()];
-        for t in first..=last {
+        let mut cursors = if S::ENABLED {
+            vec![0usize; self.shards.len()]
+        } else {
+            Vec::new()
+        };
+        for t in cycles {
             if let Some(w) = window {
                 if self
                     .shards
@@ -1115,17 +1027,13 @@ impl<S: TraceSink> Network<S> {
                 self.emit_staged_util(t);
             }
         }
-        if S::ENABLED {
-            for (si, cur) in cursors.iter().enumerate() {
-                debug_assert_eq!(
-                    *cur,
-                    self.shards[si].trace.len(),
-                    "epoch epilogue consumed every staged record"
-                );
-                let mut trace = std::mem::take(&mut self.shards[si].trace);
-                trace.drain_into(&mut NullSink);
-                self.shards[si].trace = trace;
-            }
+        for (shard, cur) in self.shards.iter_mut().zip(&cursors) {
+            debug_assert_eq!(
+                *cur,
+                shard.trace.len(),
+                "epoch epilogue consumed every staged record"
+            );
+            shard.trace.drain_into(&mut NullSink);
         }
     }
 
@@ -1147,88 +1055,6 @@ impl<S: TraceSink> Network<S> {
                 cur += 1;
             }
             *cursor = cur;
-            self.shards[si].trace = trace;
-        }
-    }
-
-    /// Fan the per-ring phase out over the worker pool, (re)spawning it
-    /// lazily when the requested thread count changed. Shards are moved
-    /// into the pool by value and reassembled in ring order, so no
-    /// state is ever shared between threads.
-    fn run_parallel(&mut self, now: Cycle) -> Result<(), EngineError> {
-        let workers = self.exec.workers();
-        if self.pool.0.as_ref().map(ShardPool::workers) != Some(workers) {
-            self.pool.0 = Some(ShardPool::new(workers));
-        }
-        let shared = Arc::clone(&self.shared);
-        let mode = self.mode;
-        let job: PoolJob<RingShard> = if S::ENABLED {
-            Arc::new(move |shard: &mut RingShard| shard.phase_cycle::<true>(&shared, now, mode))
-        } else {
-            Arc::new(move |shard: &mut RingShard| shard.phase_cycle::<false>(&shared, now, mode))
-        };
-        let shards = std::mem::take(&mut self.shards);
-        self.shards = self
-            .pool
-            .0
-            .as_mut()
-            .expect("pool just ensured")
-            .run(shards, job)?;
-        Ok(())
-    }
-
-    /// Record each bridge side's view of its peer's inbox depth
-    /// (post-delivery), reproducing the monolith's single-pipeline
-    /// occupancy for intake capacity checks.
-    fn refresh_peer_backlogs(&mut self) {
-        for bi in 0..self.shared.side_loc.len() {
-            let [la, lb] = self.shared.side_loc[bi];
-            let len_a = self.shards[la.ring as usize].sides[la.idx as usize]
-                .rx
-                .len();
-            let len_b = self.shards[lb.ring as usize].sides[lb.idx as usize]
-                .rx
-                .len();
-            self.shards[la.ring as usize].sides[la.idx as usize].peer_backlog = len_b;
-            self.shards[lb.ring as usize].sides[lb.idx as usize].peer_backlog = len_a;
-        }
-    }
-
-    /// Append every side's `tx` outbox onto its peer's `rx` inbox, in
-    /// bridge order. Mailbox buffers are returned to their owners so
-    /// capacity is reused tick over tick.
-    fn exchange_bridges(&mut self) {
-        for bi in 0..self.shared.side_loc.len() {
-            let [la, lb] = self.shared.side_loc[bi];
-            let mut tx =
-                std::mem::take(&mut self.shards[la.ring as usize].sides[la.idx as usize].tx);
-            self.shards[lb.ring as usize].sides[lb.idx as usize]
-                .rx
-                .append(&mut tx);
-            self.shards[la.ring as usize].sides[la.idx as usize].tx = tx;
-            let mut tx =
-                std::mem::take(&mut self.shards[lb.ring as usize].sides[lb.idx as usize].tx);
-            self.shards[la.ring as usize].sides[la.idx as usize]
-                .rx
-                .append(&mut tx);
-            self.shards[lb.ring as usize].sides[lb.idx as usize].tx = tx;
-        }
-    }
-
-    /// Drain per-shard trace buffers into the sink in ascending ring
-    /// order — the deterministic merge that makes the event stream
-    /// independent of execution mode.
-    fn drain_trace_buffers(&mut self) {
-        for si in 0..self.shards.len() {
-            let mut trace = std::mem::take(&mut self.shards[si].trace);
-            // Tee into the flight recorder's bounded event ring at the
-            // same deterministic point, before the sink consumes them.
-            if let Some(rec) = self.observatory.as_mut().and_then(|o| o.recorder.as_mut()) {
-                for record in trace.records() {
-                    rec.record_event(*record);
-                }
-            }
-            trace.drain_into(&mut self.sink);
             self.shards[si].trace = trace;
         }
     }

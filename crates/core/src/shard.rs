@@ -73,7 +73,9 @@ pub(crate) struct NodeLoc {
 }
 
 /// Where one side of a bridge lives: which ring shard, at which index
-/// in that shard's `sides`.
+/// in that shard's `sides`. `ring` indexes the shard slice the cycle
+/// loop runs over: the global ring id in [`EngineShared::side_loc`],
+/// the task-local position inside an epoch task.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SideLoc {
     pub ring: u16,

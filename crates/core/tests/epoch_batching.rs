@@ -1,5 +1,6 @@
 //! Epoch-batched tick equivalence: `tick_epoch(k)` must validate its
-//! bound with typed errors, reduce exactly to `tick()` at K = 1, and —
+//! bound with typed errors, reproduce the per-cycle engine's pinned
+//! output at K = 1 (through `tick()` and `tick_epoch(1)` alike), and —
 //! when traffic is applied only at epoch boundaries — replay the
 //! per-cycle engine bit for bit at any K up to the bridge-latency
 //! bound, on both the sequential and the parallel engine.
@@ -143,82 +144,143 @@ fn digest(f: &noc_core::Flit) -> (u64, NodeId, NodeId, u64, u32, u32, u32, u32) 
     )
 }
 
-/// K = 1 epochs must be the per-cycle tick, bit for bit: same delivery
-/// stream, same stats fingerprint, same telemetry record stream — on
-/// ten pinned seeds, with the epoch engine rotating through the
-/// parallel thread counts as well.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+fn fnv_words(h: u64, words: &[u64]) -> u64 {
+    words.iter().fold(h, |h, w| fnv(h, &w.to_le_bytes()))
+}
+
+/// One run's observables, each folded to one word: the stats
+/// fingerprint, the delivery stream (cycle and flit digest, in pop
+/// order) and the telemetry record stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digests {
+    fingerprint: u64,
+    deliveries: u64,
+    trace: u64,
+}
+
+/// The digests of 400 cycles of random traffic on seed `seed`'s chain
+/// topology, advanced by `tick()` or by `tick_epoch(1)`.
+fn digests(seed: u64, exec: ExecMode, epoch: bool) -> Digests {
+    let mut rng = Rng(seed.wrapping_mul(0xd605_0bb5_9b44_2b5d) ^ 0x1c69_b3f7_4ac4_ab57);
+    let (topo, devs) = chain_topology(&mut rng);
+    let mut net = Network::with_exec(
+        topo,
+        NetworkConfig::default(),
+        TickMode::Fast,
+        exec,
+        RingBufferSink::new(1 << 20),
+    );
+    let mut token = 0u64;
+    let mut deliveries = FNV_OFFSET;
+    for cycle in 0..400u64 {
+        if cycle < 250 {
+            for si in 0..devs.len() {
+                if rng.below(3) != 0 {
+                    continue;
+                }
+                let di = (si + 1 + rng.below(devs.len() as u64 - 1) as usize) % devs.len();
+                token += 1;
+                // A refused enqueue shows in the fingerprint.
+                let _ = net.enqueue(devs[si], devs[di], FlitClass::Data, 64, token);
+            }
+        }
+        if epoch {
+            net.tick_epoch(1).expect("k = 1 is always legal");
+        } else {
+            net.tick();
+        }
+        for &d in &devs {
+            while let Some(f) = net.pop_delivered(d) {
+                let (id, src, dst, token, bytes, hops, deflections, changes) = digest(&f);
+                deliveries = fnv_words(
+                    deliveries,
+                    &[
+                        cycle,
+                        id,
+                        u64::from(src.0),
+                        u64::from(dst.0),
+                        token,
+                        u64::from(bytes),
+                        u64::from(hops),
+                        u64::from(deflections),
+                        u64::from(changes),
+                    ],
+                );
+            }
+        }
+    }
+    assert!(
+        net.stats().delivered.get() > 0,
+        "seed {seed}: nothing was delivered"
+    );
+    let fingerprint = fnv_words(FNV_OFFSET, &net.fingerprint());
+    let trace = net
+        .into_sink()
+        .to_vec()
+        .iter()
+        .fold(FNV_OFFSET, |h, r| fnv(h, format!("{r:?}").as_bytes()));
+    Digests {
+        fingerprint,
+        deliveries,
+        trace,
+    }
+}
+
+/// `(fingerprint, deliveries, trace)` digests per seed, recorded from
+/// the engine when `tick()` still had its own per-cycle body beside
+/// the epoch loop (identical under every exec mode then, and identical
+/// to `tick_epoch(1)`).
+#[rustfmt::skip]
+const PINNED: [(u64, u64, u64); 10] = [
+    (0xd4e9_3b15_2c83_0f2d, 0x8977_2b16_a2bf_bb92, 0xaf45_b971_efed_65e1),
+    (0x0ea3_ed26_f956_2e24, 0x640d_443f_65aa_ec77, 0x12d9_f1eb_7120_1103),
+    (0x6188_dede_f38d_7055, 0x1a0e_458e_2265_8f87, 0x641c_3fd7_54cd_640e),
+    (0x38b9_393a_0894_569c, 0x18f8_4391_6d71_1f87, 0x5ff9_8ea8_88a8_122a),
+    (0x23b7_bdf5_a2e0_bdba, 0x25f6_7b17_9c2f_80cb, 0xfb7c_234e_0c41_1301),
+    (0xfa70_1220_2faa_27b6, 0xaa56_1fcb_826d_7cef, 0x8284_aaeb_d692_7c99),
+    (0x39f2_acab_59d8_17ce, 0xaf52_07a7_1aa4_913c, 0x1b22_5510_1f1d_868e),
+    (0xf9de_4114_04bb_e19b, 0x387f_10ac_3eb5_380b, 0x1eb5_c7e4_869c_a0f4),
+    (0xa3ac_c43c_a4b3_f55a, 0x634c_ca21_7a18_e2cf, 0x7b29_fbc6_6e8b_ef9d),
+    (0x47c5_73f0_be40_d848, 0xd366_1555_9508_eb64, 0xe9f2_4151_99eb_5ecd),
+];
+
+/// `tick()` and `tick_epoch(1)` must reproduce the per-cycle engine's
+/// recorded output bit for bit — stats fingerprint, delivery stream and
+/// telemetry record stream — on ten pinned seeds, under the sequential
+/// engine and the parallel one at 2, 4 and 8 threads.
 #[test]
 fn epoch_of_one_is_bit_identical_to_tick_on_10_pinned_seeds() {
-    for seed in 0..10u64 {
-        let mut rng = Rng(seed.wrapping_mul(0xd605_0bb5_9b44_2b5d) ^ 0x1c69_b3f7_4ac4_ab57);
-        let (topo, devs) = chain_topology(&mut rng);
-        let cfg = NetworkConfig::default();
-        let sink = || RingBufferSink::new(1 << 20);
-        let exec = [
+    for (seed, &(fingerprint, deliveries, trace)) in PINNED.iter().enumerate() {
+        let pinned = Digests {
+            fingerprint,
+            deliveries,
+            trace,
+        };
+        for exec in [
             ExecMode::Sequential,
             ExecMode::Parallel(2),
             ExecMode::Parallel(4),
             ExecMode::Parallel(8),
-        ][(seed % 4) as usize];
-        let mut ticked = Network::with_exec(
-            topo.clone(),
-            cfg.clone(),
-            TickMode::Fast,
-            ExecMode::Sequential,
-            sink(),
-        );
-        let mut epoched = Network::with_exec(topo, cfg, TickMode::Fast, exec, sink());
-
-        let mut token = 0u64;
-        for cycle in 0..400u64 {
-            if cycle < 250 {
-                for si in 0..devs.len() {
-                    if rng.below(3) != 0 {
-                        continue;
-                    }
-                    let di = (si + 1 + rng.below(devs.len() as u64 - 1) as usize) % devs.len();
-                    token += 1;
-                    let a = ticked.enqueue(devs[si], devs[di], FlitClass::Data, 64, token);
-                    let b = epoched.enqueue(devs[si], devs[di], FlitClass::Data, 64, token);
-                    assert_eq!(
-                        a.is_ok(),
-                        b.is_ok(),
-                        "seed {seed} cycle {cycle}: enqueue diverged"
-                    );
-                }
-            }
-            ticked.tick();
-            epoched.tick_epoch(1).expect("k = 1 is always legal");
-            for &d in &devs {
-                loop {
-                    let (a, b) = (ticked.pop_delivered(d), epoched.pop_delivered(d));
-                    match (&a, &b) {
-                        (None, None) => break,
-                        (Some(fa), Some(fb)) => assert_eq!(
-                            digest(fa),
-                            digest(fb),
-                            "seed {seed} cycle {cycle}: stream diverged at {d:?}"
-                        ),
-                        _ => {
-                            panic!("seed {seed} cycle {cycle}: delivery presence diverged at {d:?}")
-                        }
-                    }
-                }
+        ] {
+            for epoch in [false, true] {
+                assert_eq!(
+                    digests(seed as u64, exec, epoch),
+                    pinned,
+                    "seed {seed}: {exec:?} (tick_epoch(1): {epoch}) diverged from the pinned digests"
+                );
             }
         }
-        assert_eq!(
-            ticked.stats().fingerprint(),
-            epoched.stats().fingerprint(),
-            "seed {seed}: fingerprint diverged ({exec:?})"
-        );
-        assert!(
-            ticked.stats().delivered.get() > 0,
-            "seed {seed}: nothing was delivered"
-        );
-        assert!(
-            ticked.into_sink().to_vec() == epoched.into_sink().to_vec(),
-            "seed {seed}: telemetry record streams diverged ({exec:?})"
-        );
     }
 }
 

@@ -50,6 +50,7 @@ use noc_core::{
 };
 use noc_sim::{Cycle, Histogram};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Per-endpoint transaction state.
 #[derive(Debug)]
@@ -144,6 +145,9 @@ pub struct TxnFabric<S: TraceSink = NullSink, P: SpanSink = NullSpanSink> {
     net: Network<S>,
     cfg: TxnConfig,
     endpoints: BTreeMap<NodeId, Endpoint>,
+    /// The keys of `endpoints`, ascending: fixed at construction, and
+    /// shared with the per-tick pump and drain without a copy.
+    endpoint_ids: Arc<[NodeId]>,
     /// Live packet descriptors by packet id. Keyed lookups only.
     packets: HashMap<u64, PacketDesc>,
     /// Live transactions by id. Keyed lookups only.
@@ -213,11 +217,12 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             cfg.max_data_flits >= 1 && cfg.max_data_flits <= 256,
             "max_data_flits must be in 1..=256 (token seq space)"
         );
-        let endpoints = net
+        let endpoints: BTreeMap<NodeId, Endpoint> = net
             .topology()
             .devices()
             .map(|d| (d.id, Endpoint::new(cfg.window)))
             .collect();
+        let endpoint_ids = endpoints.keys().copied().collect();
         let registry = (cfg.metrics_period > 0).then(|| TxnRegistry::new(cfg.metrics_period));
         let outstanding_cap = if cfg.max_outstanding_flits > 0 {
             cfg.max_outstanding_flits as u64
@@ -239,6 +244,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
             net,
             cfg,
             endpoints,
+            endpoint_ids,
             packets: HashMap::new(),
             txns: HashMap::new(),
             next_packet: 0,
@@ -1193,23 +1199,23 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     }
 
     /// Advance one cycle: pump staged flits, tick the network, drain
-    /// and process deliveries, sample the observatory.
+    /// and process deliveries, sample the observatory. This is
+    /// `tick_epoch(1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parallel engine worker died, as [`Network::tick`]
+    /// does.
     pub fn tick(&mut self) {
-        let nodes: Vec<NodeId> = self.endpoints.keys().copied().collect();
-        self.pump_staged(&nodes);
-        self.net.tick();
-        self.drain_deliveries(&nodes);
-        if let Some(reg) = &self.registry {
-            if self.net.now().raw().is_multiple_of(reg.period()) {
-                self.sample_observatory();
-            }
+        if let Err(e) = self.tick_epoch(1) {
+            panic!("{e}");
         }
     }
 
     /// Advance `k` cycles as one epoch: the admission pump, delivery
     /// drain and observatory sampling all move to the epoch boundary,
     /// and the network below runs [`Network::tick_epoch`]. For `k = 1`
-    /// this is exactly [`TxnFabric::tick`]; for larger `k` the fabric
+    /// this is [`TxnFabric::tick`]; for larger `k` the fabric
     /// interacts with the network `k`× less often, so admission and
     /// drain *cadence* differ from `k = 1` — but the result is still a
     /// pure function of `k` alone: byte-identical across
@@ -1224,7 +1230,7 @@ impl<S: TraceSink, P: SpanSink> TxnFabric<S, P> {
     /// Propagates the engine's [`EngineError`] (`k` validation and
     /// worker-pool failures); see [`Network::tick_epoch`].
     pub fn tick_epoch(&mut self, k: u64) -> Result<(), EngineError> {
-        let nodes: Vec<NodeId> = self.endpoints.keys().copied().collect();
+        let nodes = Arc::clone(&self.endpoint_ids);
         self.pump_staged(&nodes);
         let before = self.net.now().raw();
         self.net.tick_epoch(k)?;
